@@ -1,7 +1,7 @@
 //! The bit-parallel throughput benchmark: runs every suite design's
 //! testbench through 64 serial single-lane simulations, then through the
-//! wide graph engine and the compiled-tape engine at every requested lane
-//! width (64, 128, 256 — lane `l` replays shard `l % 64`), verifies the
+//! plain and the optimized compiled tape at every requested lane width
+//! (64, 128, 256 — lane `l` replays shard `l % 64`), verifies the
 //! waveforms bit-identical lane by lane at every width, and writes the
 //! measurements to `BENCH_wide.json` with per-width geomeans.
 //!
@@ -19,8 +19,8 @@
 use pe_bench::cli::{BenchArgs, CliError, FlagExt};
 use pe_designs::suite::all_benchmarks;
 use pe_harness::wide::{
-    geomean_opt_speedup, geomean_settle_mlcps, geomean_speedup, geomean_tape_speedup, render_json,
-    rows_at, run_wide_bench, widths_present, WIDE_BENCH_WIDTHS,
+    geomean_opt_speedup, geomean_settle_mlcps, geomean_speedup, render_json, rows_at,
+    run_wide_bench, widths_present, WIDE_BENCH_WIDTHS,
 };
 use pe_harness::{Fanout, Metrics, StderrLines};
 use std::path::PathBuf;
@@ -80,7 +80,7 @@ fn main() {
     let benchmarks = all_benchmarks();
 
     println!(
-        "bit-parallel evaluation — wide engine at {} lanes vs serial vs compiled tape \
+        "bit-parallel evaluation — compiled tape at {} lanes vs serial \
          ({:?} scale, {} job(s))",
         ext.lanes
             .iter()
@@ -91,7 +91,7 @@ fn main() {
         args.jobs
     );
     println!("(each design: 64 seeded testbench shards, lane l replaying shard l%64; every");
-    println!(" lane's waveform digest is verified bit-identical between all engines at every");
+    println!(" lane's waveform digest is verified bit-identical to its serial run at every");
     println!(" width before speedup is reported)");
     println!();
 
@@ -107,31 +107,26 @@ fn main() {
     };
 
     println!(
-        "{:<14} {:>9} {:>6} {:>12} {:>12} {:>12} {:>9} {:>9} {:>11} {:>9} {:>12}  digest",
+        "{:<14} {:>9} {:>6} {:>12} {:>12} {:>9} {:>11} {:>9} {:>12}  digest",
         "design",
         "cycles",
         "lanes",
         "serial (s)",
-        "wide (s)",
         "tape (s)",
         "speedup",
-        "tape x",
         "instrs",
         "opt x",
         "settle Mlc/s"
     );
     for r in &rows {
         println!(
-            "{:<14} {:>9} {:>6} {:>12.4} {:>12.4} {:>12.4} {:>8.1}x {:>8.2}x {:>5}->{:<4} \
-             {:>8.2}x {:>12.1}  {}",
+            "{:<14} {:>9} {:>6} {:>12.4} {:>12.4} {:>8.1}x {:>5}->{:<4} {:>8.2}x {:>12.1}  {}",
             r.design,
             r.cycles,
             r.lanes,
             r.serial_seconds,
-            r.wide_seconds,
             r.tape_seconds,
             r.speedup,
-            r.tape_speedup,
             r.tape_pre_instructions,
             r.tape_post_instructions,
             r.opt_speedup,
@@ -143,10 +138,9 @@ fn main() {
     for w in widths_present(&rows) {
         let at = rows_at(&rows, w);
         println!(
-            "{w:>4} lanes: geomean speedup {:>6.1}x   tape-over-graph {:>5.2}x   \
-             optimized tape {:>5.2}x   settle phase {:>8.1} Mlane-cycles/s",
+            "{w:>4} lanes: geomean speedup {:>6.1}x   optimized tape {:>5.2}x   \
+             settle phase {:>8.1} Mlane-cycles/s",
             geomean_speedup(&at),
-            geomean_tape_speedup(&at),
             geomean_opt_speedup(&at),
             geomean_settle_mlcps(&at)
         );

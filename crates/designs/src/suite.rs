@@ -116,7 +116,7 @@ impl Benchmark {
     }
 
     /// Builds `n` independent workload shards (shards `0..n`), ready to
-    /// occupy the lanes of a [`pe_sim::WideSimulator`] pack.
+    /// occupy the lanes of a lane-parallel engine, one shard per lane.
     pub fn testbench_shards(&self, cycles: u64, n: usize) -> Vec<Box<dyn Testbench>> {
         (0..n as u64)
             .map(|s| self.testbench_shard(cycles, s))

@@ -373,15 +373,14 @@ impl<'a> GateSimulator<'a> {
 
 /// Kahn levelization of a gate netlist's combinational gates: a topological
 /// evaluation order. Nets driven by inputs, DFF `q`, or memory `rdata` are
-/// sources. Shared by the serial and 64-lane wide simulators so both
-/// evaluate gates in the identical order.
+/// sources.
 ///
 /// # Panics
 ///
 /// Panics if the netlist's combinational gates are cyclic (cannot happen
 /// for netlists produced by [`crate::expand::expand_design`] from a
 /// validated design).
-pub(crate) fn levelize(nl: &crate::netlist::GateNetlist) -> Vec<u32> {
+fn levelize(nl: &crate::netlist::GateNetlist) -> Vec<u32> {
     let mut driver: Vec<Option<u32>> = vec![None; nl.net_count()];
     for (i, g) in nl.gates().iter().enumerate() {
         driver[g.output.index()] = Some(i as u32);

@@ -952,52 +952,6 @@ mod tests {
     }
 
     #[test]
-    fn wide_lanes_read_back_serial_energy() {
-        // Instrumented design with an input: each lane of a wide run gets
-        // its own stimulus, and each lane's accumulator readback must equal
-        // a serial run of that stimulus exactly (integer accumulators, so
-        // the f64 conversion is deterministic).
-        let mut b = DesignBuilder::new("laned");
-        let clk = b.clock("clk");
-        let x = b.input("x", 8);
-        let acc = b.register_named("acc", 8, 0, clk);
-        let nxt = b.add(acc.q(), x);
-        b.connect_d(acc, nxt);
-        b.output("acc", acc.q());
-        let d = b.finish().unwrap();
-        let lib = library_for(&d);
-        let inst = instrument(&d, &lib, &InstrumentConfig::default()).unwrap();
-
-        let mut wide = pe_sim::WideSimulator::<u64>::new(&inst.design).unwrap();
-        let mut serials: Vec<Simulator<'_>> = (0..64)
-            .map(|_| Simulator::new(&inst.design).unwrap())
-            .collect();
-        let x_id = inst.design.find_input("x").unwrap();
-        let mut rng = pe_util::rng::Xoshiro::new(0x51DE);
-        for _ in 0..100 {
-            for (lane, s) in serials.iter_mut().enumerate() {
-                let v = rng.bits(8);
-                wide.set_input_lane(x_id, lane, v);
-                s.set_input(x_id, v);
-            }
-            wide.step();
-            for s in serials.iter_mut() {
-                s.step();
-            }
-        }
-        for (lane, s) in serials.iter_mut().enumerate() {
-            let serial_e = inst.read_energy_fj(s);
-            let wide_e = inst.read_energy_fj_lane(&mut wide, lane);
-            assert_eq!(
-                wide_e.to_bits(),
-                serial_e.to_bits(),
-                "lane {lane}: wide {wide_e} vs serial {serial_e}"
-            );
-        }
-        assert!(inst.read_energy_fj_lane(&mut wide, 0) > 0.0);
-    }
-
-    #[test]
     fn strobe_period_two_samples_half_the_cycles() {
         let d = counter_design();
         let lib = library_for(&d);

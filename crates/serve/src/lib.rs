@@ -9,11 +9,13 @@
 //! `key=value` events dialect.
 //!
 //! The headline is the scheduler ([`sched`]): pending requests for the
-//! same (design, model) are packed — up to 64 at a time, round-robin
-//! across clients — into one [`pe_sim::WideSimulator`] run, and each
-//! lane's `read_energy_fj_lane` readout is demultiplexed back to its
-//! client. The wide engine's lanes are bit-independent, so a batched
-//! answer is bit-identical to a serial run of the same job; batching
+//! same (design, model) are packed — up to [`ServeConfig::lanes`] at a
+//! time, round-robin across clients — into one
+//! [`pe_tape::WideTapeSimulator`] run over the design's optimized,
+//! translation-validated instruction tape, and each lane's
+//! `read_energy_fj_lane` readout is demultiplexed back to its client.
+//! The tape's lanes are bit-independent, so a batched answer is
+//! bit-identical to a serial run of the same job; batching
 //! buys the bit-parallel throughput (BENCH_wide.json: ~11x over 64
 //! serial runs) without changing a single result bit. Model resolution
 //! goes through the shared content-addressed `ModelLibrary` cache

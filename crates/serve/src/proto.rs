@@ -237,10 +237,11 @@ pub enum ErrorCode {
     /// server's denylist, or no finite activity certificate. Rejected
     /// before any simulation work.
     UnsoundDesign,
-    /// The design compiled to an instruction tape but the translation
-    /// validator could not prove the optimized tape equivalent to the
-    /// source netlist — the tape carries no validated certificate, so
-    /// the server refuses to simulate with it.
+    /// The design has no proven instruction tape: either the tape
+    /// compiler rejected it, or the translation validator could not
+    /// prove the optimized tape equivalent to the source netlist. The
+    /// tape is the only engine batches run on, so the server refuses
+    /// the design.
     TapeUnverified,
     /// The server failed internally while running the job.
     Internal,

@@ -26,7 +26,6 @@ use pe_harness::{obtain_library, ModelCache, RegistrySink};
 use pe_instrument::InstrumentedDesign;
 use pe_lint::{lint_instrumented, Denylist, LintReport};
 use pe_power::CharacterizeConfig;
-use pe_sim::WideSimulator;
 use pe_trace::Registry;
 use pe_util::lanes::{LaneWord, MAX_LANES};
 use std::collections::{BTreeMap, HashMap, VecDeque};
@@ -151,16 +150,16 @@ struct PreparedDesign {
     report: LintReport,
     /// The instrumented design compiled into an optimized instruction
     /// tape, built once per group so every batch skips straight to
-    /// simulator construction. `None` when the tape compiler rejects
-    /// the design — those batches fall back to the graph engine (and
-    /// admission usually rejects such designs anyway).
-    tape: Option<pe_tape::Tape>,
+    /// simulator construction. A design the tape compiler rejects never
+    /// becomes a `PreparedDesign`: its submits are refused with
+    /// `tape_unverified`.
+    tape: pe_tape::Tape,
     /// The translation-validation certificate for `tape`: netlist and
     /// IR digests, per-pass instruction deltas, and whether the
     /// optimized tape was proven equivalent to the source netlist.
-    /// Admission refuses to serve a group whose tape compiled but
-    /// carries `validated: false` (`tape_unverified`).
-    certificate: Option<pe_tape::TapeCertificate>,
+    /// Admission refuses to serve a group whose tape carries
+    /// `validated: false` (`tape_unverified`).
+    certificate: pe_tape::TapeCertificate,
 }
 
 impl PreparedDesign {
@@ -194,12 +193,11 @@ impl PreparedDesign {
     }
 
     /// Why this design's tape must not be trusted, if the translation
-    /// validator failed to certify it. A group whose tape compiled but
-    /// was not proven equivalent to its netlist is refused outright —
-    /// falling back to the graph engine would silently serve a design
-    /// the verification pipeline flagged.
+    /// validator failed to certify it. A group whose tape was not proven
+    /// equivalent to its netlist is refused outright: the tape is the
+    /// only engine batches run on.
     fn tape_unverified_error(&self) -> Option<String> {
-        let cert = self.certificate.as_ref()?;
+        let cert = &self.certificate;
         if cert.validated {
             return None;
         }
@@ -211,6 +209,14 @@ impl PreparedDesign {
     }
 }
 
+/// Why a group could not be prepared at all: the error code every
+/// submit of the group is refused with, and its message.
+#[derive(Debug)]
+struct Refusal {
+    code: ErrorCode,
+    message: String,
+}
+
 struct Shared {
     config: ServeConfig,
     state: Mutex<SchedState>,
@@ -220,7 +226,7 @@ struct Shared {
     idle: Condvar,
     registry: Registry,
     /// In-memory prepare results (success or failure) per group.
-    prepared: Mutex<HashMap<GroupKey, Arc<Result<PreparedDesign, String>>>>,
+    prepared: Mutex<HashMap<GroupKey, Arc<Result<PreparedDesign, Refusal>>>>,
 }
 
 /// A worker panic would poison the state mutex and take the whole
@@ -316,12 +322,15 @@ impl Scheduler {
             model: req.model,
         };
         match prepared(shared, &key).as_ref() {
-            Err(msg) => {
+            Err(refusal) => {
+                if refusal.code == ErrorCode::TapeUnverified {
+                    shared.registry.counter("serve.tape_unverified").inc();
+                }
                 shared.registry.counter("serve.requests_failed").inc();
                 reply(Response::Error {
                     req: Some(req.id),
-                    code: ErrorCode::Internal,
-                    message: msg.clone(),
+                    code: refusal.code,
+                    message: refusal.message.clone(),
                 });
                 return;
             }
@@ -580,7 +589,7 @@ fn run_batch(shared: &Shared, batch_id: u64, key: &GroupKey, jobs: Vec<Job>) -> 
     let prep = prepared(shared, key);
     let outcome = match prep.as_ref() {
         Ok(prep) => run_wide(prep, &jobs),
-        Err(msg) => Err(msg.clone()),
+        Err(refusal) => Err(refusal.message.clone()),
     };
     let mut delivered = 0;
     match outcome {
@@ -643,7 +652,7 @@ fn run_batch(shared: &Shared, batch_id: u64, key: &GroupKey, jobs: Vec<Job>) -> 
 /// the map lock through a build serializes first-touch prepares across
 /// workers — deliberate, so concurrent cold batches of the same design
 /// characterize once, not twice.
-fn prepared(shared: &Shared, key: &GroupKey) -> Arc<Result<PreparedDesign, String>> {
+fn prepared(shared: &Shared, key: &GroupKey) -> Arc<Result<PreparedDesign, Refusal>> {
     let mut map = shared
         .prepared
         .lock()
@@ -658,9 +667,13 @@ fn prepared(shared: &Shared, key: &GroupKey) -> Arc<Result<PreparedDesign, Strin
     built
 }
 
-fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, String> {
+fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, Refusal> {
+    let internal = |message: String| Refusal {
+        code: ErrorCode::Internal,
+        message,
+    };
     let bench = benchmark_or_defect(&key.design)
-        .ok_or_else(|| format!("design `{}` is not in the suite", key.design))?;
+        .ok_or_else(|| internal(format!("design `{}` is not in the suite", key.design)))?;
     let config = match key.model {
         ModelChoice::Fast => CharacterizeConfig::fast(),
         ModelChoice::Standard => CharacterizeConfig::standard(),
@@ -674,22 +687,20 @@ fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, Str
         bench.name,
         &sink,
     )
-    .map_err(|e| format!("characterize failed: {e}"))?;
+    .map_err(|e| internal(format!("characterize failed: {e}")))?;
     // Instrument directly rather than through `stage_instrument`: the
     // flow's built-in lint gate would turn an unsound design into an
     // opaque `internal` failure, but admission owns that decision — the
     // report is kept so `submit` can answer `unsound_design` with the
     // findings.
     let inst = pe_instrument::instrument(&bench.design, &library, flow.instrument_config())
-        .map_err(|e| format!("instrument failed: {e}"))?;
+        .map_err(|e| internal(format!("instrument failed: {e}")))?;
     let report = lint_instrumented(&inst, None);
-    let (tape, certificate) = match pe_tape::Tape::compile_optimized(&inst.design) {
-        Ok((tape, certificate)) => (Some(tape), Some(certificate)),
-        Err(_) => {
-            shared.registry.counter("serve.tape_fallbacks").inc();
-            (None, None)
-        }
-    };
+    let (tape, certificate) =
+        pe_tape::Tape::compile_optimized(&inst.design).map_err(|e| Refusal {
+            code: ErrorCode::TapeUnverified,
+            message: format!("tape for design `{}` failed to compile ({e})", key.design),
+        })?;
     Ok(PreparedDesign {
         bench,
         inst,
@@ -699,15 +710,13 @@ fn build_prepared(shared: &Shared, key: &GroupKey) -> Result<PreparedDesign, Str
     })
 }
 
-/// Runs one packed batch on the wide engine at the narrowest lane width
-/// that fits it — the group's prepared instruction tape when it
-/// compiled, the graph interpreter otherwise. Lane `l` executes job
-/// `l`'s testbench shard for exactly its requested cycles; the batch
-/// steps to the longest request, and each lane's energy is read at its
-/// own cycle boundary — the accumulator state there is bit-identical to
-/// a serial run of the same length, because lanes never interact (and
-/// the tape is bit-identical to the graph engine by construction,
-/// enforced by the width-sweep differential suite).
+/// Runs one packed batch on the group's prepared instruction tape at
+/// the narrowest lane width that fits it. Lane `l` executes job `l`'s
+/// testbench shard for exactly its requested cycles; the batch steps to
+/// the longest request, and each lane's energy is read at its own cycle
+/// boundary — the accumulator state there is bit-identical to a serial
+/// run of the same length, because lanes never interact (enforced
+/// against the serial engine by the width-sweep differential suite).
 fn run_wide(prep: &PreparedDesign, jobs: &[Job]) -> Result<Vec<f64>, String> {
     match lane_width_for(jobs.len()) {
         64 => run_wide_at::<u64>(prep, jobs),
@@ -725,54 +734,28 @@ fn run_wide_at<W: LaneWord>(prep: &PreparedDesign, jobs: &[Job]) -> Result<Vec<f
     let mut energies = vec![0.0f64; jobs.len()];
     // Admission already refuses unverified tapes; this guard keeps the
     // batch path honest even if a future caller skips admission.
-    let verified_tape = prep
-        .tape
-        .as_ref()
-        .filter(|_| prep.certificate.as_ref().is_some_and(|c| c.validated));
-    if let Some(tape) = verified_tape {
-        let mut sim = pe_tape::WideTapeSimulator::<W>::new(tape);
-        for cycle in 0..max_cycles {
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                if cycle < jobs[lane].req.cycles {
-                    tb.apply(cycle, &mut sim.lane(lane));
-                }
-            }
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                if cycle < jobs[lane].req.cycles {
-                    tb.observe(cycle, &mut sim.lane(lane));
-                }
-            }
-            sim.step();
-            for (lane, job) in jobs.iter().enumerate() {
-                if cycle + 1 == job.req.cycles {
-                    energies[lane] = prep
-                        .inst
-                        .try_read_energy_fj_lane(&mut sim, lane)
-                        .map_err(|e| e.to_string())?;
-                }
+    if let Some(msg) = prep.tape_unverified_error() {
+        return Err(msg);
+    }
+    let mut sim = pe_tape::WideTapeSimulator::<W>::new(&prep.tape);
+    for cycle in 0..max_cycles {
+        for (lane, tb) in tbs.iter_mut().enumerate() {
+            if cycle < jobs[lane].req.cycles {
+                tb.apply(cycle, &mut sim.lane(lane));
             }
         }
-    } else {
-        let mut sim = WideSimulator::<W>::new(&prep.inst.design).map_err(|e| e.to_string())?;
-        for cycle in 0..max_cycles {
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                if cycle < jobs[lane].req.cycles {
-                    tb.apply(cycle, &mut sim.lane(lane));
-                }
+        for (lane, tb) in tbs.iter_mut().enumerate() {
+            if cycle < jobs[lane].req.cycles {
+                tb.observe(cycle, &mut sim.lane(lane));
             }
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                if cycle < jobs[lane].req.cycles {
-                    tb.observe(cycle, &mut sim.lane(lane));
-                }
-            }
-            sim.step();
-            for (lane, job) in jobs.iter().enumerate() {
-                if cycle + 1 == job.req.cycles {
-                    energies[lane] = prep
-                        .inst
-                        .try_read_energy_fj_lane(&mut sim, lane)
-                        .map_err(|e| e.to_string())?;
-                }
+        }
+        sim.step();
+        for (lane, job) in jobs.iter().enumerate() {
+            if cycle + 1 == job.req.cycles {
+                energies[lane] = prep
+                    .inst
+                    .try_read_energy_fj_lane(&mut sim, lane)
+                    .map_err(|e| e.to_string())?;
             }
         }
     }
@@ -848,10 +831,7 @@ mod tests {
         // Build the real prepared design, then doctor its certificate to
         // simulate a tape the translation validator refused to certify.
         let mut prep = build_prepared(&sched.shared, &key).expect("prepare succeeds");
-        let cert = prep
-            .certificate
-            .as_mut()
-            .expect("suite design has a certificate");
+        let cert = &mut prep.certificate;
         assert!(cert.validated, "suite design should certify cleanly");
         cert.validated = false;
         cert.reason = Some("signal-mismatch: doctored for test".to_string());
@@ -868,6 +848,35 @@ mod tests {
         };
         assert_eq!(code, ErrorCode::TapeUnverified);
         assert!(message.contains("translation validation"), "{message}");
+        assert_eq!(sched.registry().counter("serve.tape_unverified").get(), 1);
+        assert_eq!(sched.pending(), 0);
+    }
+
+    #[test]
+    fn tape_compile_failure_is_refused_at_admission() {
+        let sched = paused(8);
+        let key = GroupKey {
+            design: "Bubble_Sort".to_string(),
+            model: ModelChoice::Fast,
+        };
+        // Every servable design compiles, so plant the refusal
+        // `build_prepared` records when the tape compiler rejects one.
+        let refusal = Refusal {
+            code: ErrorCode::TapeUnverified,
+            message: "tape for design `Bubble_Sort` failed to compile (doctored)".to_string(),
+        };
+        sched
+            .shared
+            .prepared
+            .lock()
+            .unwrap()
+            .insert(key, Arc::new(Err(refusal)));
+        let (tx, rx) = mpsc::channel();
+        sched.submit(submit_req("c0", "Bubble_Sort", 10, 0), 1, &tx);
+        let Response::Error { code, .. } = rx.try_recv().unwrap() else {
+            panic!("expected error");
+        };
+        assert_eq!(code, ErrorCode::TapeUnverified);
         assert_eq!(sched.registry().counter("serve.tape_unverified").get(), 1);
         assert_eq!(sched.pending(), 0);
     }

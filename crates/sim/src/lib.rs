@@ -14,11 +14,10 @@
 //! * [`Testbench`] and [`run`] — the driver abstraction shared by the
 //!   software power estimators, the emulation flow, and functional tests,
 //!   built on [`SimControl`] so the same testbench drives a serial
-//!   simulator or one lane of a 64-wide pack.
-//! * [`wide::WideSimulator`] — bit-parallel evaluation: 64 independent
-//!   stimulus vectors packed into `u64` lanes per signal bit, advanced
-//!   with word-wide logic ops (the paper's evaluate-everything-at-once
-//!   datapath, in software).
+//!   simulator or one lane of a lane-parallel engine. [`WideControl`] is
+//!   the per-lane readout surface such an engine exposes; the compiled
+//!   instruction tape in `pe-tape` is the workspace's lane-parallel
+//!   engine, held bit for bit to this crate's serial [`Simulator`].
 //! * [`activity::ActivityRecorder`] — per-signal toggle counting (switching
 //!   activity), the quantity that both gate-level power analysis and the
 //!   paper's macromodels consume.
@@ -53,8 +52,6 @@ pub mod activity;
 mod engine;
 pub mod testbench;
 pub mod waveform;
-pub mod wide;
 
 pub use engine::Simulator;
 pub use testbench::{run, ConstInputs, SimControl, Testbench, VectorTestbench, WideControl};
-pub use wide::{run_lanes, WideLane, WideSimulator};

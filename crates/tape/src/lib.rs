@@ -1,7 +1,7 @@
 //! # pe-tape — compiled instruction-tape simulation
 //!
-//! The graph engines in `pe-sim` re-traverse the netlist every settle
-//! pass: each combinational component is fetched from the design, its
+//! The serial graph engine in `pe-sim` re-traverses the netlist every
+//! settle pass: each combinational component is fetched from the design, its
 //! kind matched, and its operands gathered through `SignalId`
 //! indirection. This crate does what the Berkeley Emulation Engine does
 //! for netlists in hardware — compile the design **once** into a flat,
@@ -22,8 +22,8 @@
 //!   become plane aliases that cost nothing per cycle (the graph engine
 //!   runs full barrel stages for a constant shift), and out-of-width
 //!   operand reads resolve to a reserved all-zero plane, eliminating
-//!   the width branch from the hot loop. Bit-identical to
-//!   [`pe_sim::WideSimulator`], lane for lane.
+//!   the width branch from the hot loop. Each lane is bit-identical to
+//!   a serial [`pe_sim::Simulator`] run of that lane's stimulus.
 //! * [`TapeSimulator`] is the serial engine: a thin wrapper fixing the
 //!   wide interpreter at one lane (`bool` lane word), bit-identical to
 //!   [`pe_sim::Simulator`] — there is no duplicated serial interpreter
@@ -31,8 +31,8 @@
 //!
 //! A [`Tape`] owns its whole program (it does not borrow the
 //! [`Design`]), so it can be memoized and shared — `pe-serve` keeps one
-//! per prepared design and constructs fresh interpreters per batch at a
-//! fraction of a `WideSimulator`'s build cost.
+//! per prepared design and constructs a fresh interpreter per batch,
+//! which costs only an arena allocation.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -44,8 +44,8 @@ impl<'t> TapeSimulator<'t> {
     }
 
     /// Observes run counters into `registry` (`sim.cycles`,
-    /// `sim.settle_passes` — the serial graph engine's histograms, so
-    /// dashboards are engine-agnostic).
+    /// `sim.settle_passes` — the serial [`pe_sim::Simulator`]'s
+    /// histograms, so dashboards are engine-agnostic).
     pub fn record_metrics(&self, registry: &pe_trace::Registry) {
         registry.histogram("sim.cycles").observe(self.cycle());
         registry

@@ -1,13 +1,13 @@
 //! Lane-word bit-slicing primitives for bit-parallel simulation.
 //!
-//! The bit-parallel engines ([`pe-sim`'s wide simulator and friends]) store
-//! one *lane word* per signal bit: lane `l` of slice `i` holds bit `i` of
+//! The bit-parallel engine (`pe-tape`'s wide interpreter) stores one
+//! *lane word* per signal bit: lane `l` of slice `i` holds bit `i` of
 //! the value observed by lane `l`. Independent stimulus vectors (testbench
 //! shards, strobe windows, or serve-batch jobs) then advance through the
 //! netlist with plain word-wide AND/OR/XOR/NOT — the software analogue of
 //! the paper's "evaluate everything at once" FPGA datapath.
 //!
-//! The lane count is a type parameter, not a constant: every wide engine is
+//! The lane count is a type parameter, not a constant: the wide engine is
 //! generic over a [`LaneWord`], so one core covers
 //!
 //! * `bool` — a single lane; serial simulation is the 1-lane instantiation
@@ -83,7 +83,7 @@ pub trait LaneWord: Copy + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'sta
         self.and(other.not())
     }
     /// Per-lane select: lane `l` of the result is `t`'s lane where `m` is
-    /// set, else `f`'s. The wide engines' mux/enable blend.
+    /// set, else `f`'s. The wide engine's mux/enable blend.
     #[inline]
     fn blend(m: Self, t: Self, f: Self) -> Self {
         t.and(m).or(f.andn(m))
@@ -100,21 +100,6 @@ pub trait LaneWord: Copy + PartialEq + Eq + std::fmt::Debug + Send + Sync + 'sta
     fn lane(self, lane: usize) -> bool {
         debug_assert!(lane < Self::LANES);
         (self.word(lane / 64) >> (lane % 64)) & 1 == 1
-    }
-    /// Sets the bit in lane `lane`.
-    #[inline]
-    fn set_lane(&mut self, lane: usize, bit: bool) {
-        debug_assert!(lane < Self::LANES);
-        let w = self.word(lane / 64);
-        let m = 1u64 << (lane % 64);
-        self.set_word(lane / 64, if bit { w | m } else { w & !m });
-    }
-    /// The word with only lane `lane` set.
-    #[inline]
-    fn lane_bit(lane: usize) -> Self {
-        let mut w = Self::zero();
-        w.set_lane(lane, true);
-        w
     }
 
     /// True when no lane is set.
@@ -508,11 +493,6 @@ mod tests {
         }
         assert!(W::zero().is_zero() && !W::zero().is_ones());
         assert!(W::ones().is_ones() && !W::ones().is_zero());
-        for l in [0, W::LANES / 2, W::LANES - 1] {
-            let w = W::lane_bit(l);
-            assert_eq!(w.count_lanes(), 1);
-            assert!(w.lane(l));
-        }
     }
 
     #[test]

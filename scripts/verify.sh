@@ -19,14 +19,12 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 echo "== cargo build --release"
 cargo build --workspace --release --offline
 
-echo "== cargo test"
+echo "== cargo test (every test target once, including the width-sweep differential"
+echo "   matrix and the seeded-miscompile suite)"
 cargo test --workspace --release --offline -q
 
-echo "== width-sweep differential matrix (1/64/128/256 lanes, bit-exact)"
-cargo test --release --offline -q --test differential --test tape_differential --test properties
-
-echo "== seeded-miscompile suite (translation validator rejects every mutant)"
-cargo test --release --offline -q --test tape_miscompile
+echo "== perfbench builds against the workspace crates (selftest included)"
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== wide bench smoke at 128 lanes (lane digests verified)"
 cargo run -p pe-bench --release --offline --bin wide -- --scale test --jobs 2 \
@@ -39,7 +37,7 @@ cargo run -p pe-bench --release --offline --bin wide -- --scale test --jobs 2 \
 
 echo "== per-width columns present in BENCH_wide.json"
 grep -q '"tape_seconds"' "$scratch/BENCH_wide.json"
-grep -q '"tape_speedup"' "$scratch/BENCH_wide.json"
+grep -q '"speedup"' "$scratch/BENCH_wide.json"
 grep -q '"lane_widths": \[64, 128, 256\]' "$scratch/BENCH_wide.json"
 grep -q '"lanes": 64' "$scratch/BENCH_wide.json"
 grep -q '"lanes": 128' "$scratch/BENCH_wide.json"
@@ -54,14 +52,9 @@ grep -q '"opt_seconds"' "$scratch/BENCH_wide.json"
 grep -q '"opt_speedup"' "$scratch/BENCH_wide.json"
 grep -q '"geomean_opt_speedup"' "$scratch/BENCH_wide.json"
 
-echo "== trace bench smoke (waveform integral invariant, BENCH_trace.json)"
+echo "== trace bench smoke (waveform integral invariant, serial vs tape waveform equality)"
 cargo run -p pe-bench --release --offline --bin trace -- --scale test --jobs 2 \
   --out "$scratch/BENCH_trace.json" --waveform-dir "$scratch/waveforms"
-
-echo "== trace bench smoke on the tape engine (cross-engine waveform equality)"
-cargo run -p pe-bench --release --offline --bin trace -- --scale test --jobs 2 \
-  --engine tape --out "$scratch/BENCH_trace_tape.json" --waveform-dir "$scratch/waveforms_tape"
-grep -q '"engine": "tape"' "$scratch/BENCH_trace_tape.json"
 
 echo "== lint gate with tape certificates (--deny all --machine --tape) vs locked fixture"
 cargo run -p pe-bench --release --offline --quiet --bin lint -- \

@@ -1,19 +1,19 @@
-//! Differential testing of the bit-parallel lane-word engines against
-//! every serial engine in the workspace, at every supported width.
+//! Differential testing of the serving path's wide engine against the
+//! serial reference, at every supported width.
 //!
-//! The wide simulators claim lane-for-lane bit-identical semantics with
-//! their serial counterparts at 1, 64, 128, and 256 lanes; this suite
-//! enforces the claim on the full seven-design benchmark suite with
-//! seeded per-lane stimulus shards:
+//! `pe-serve` packs requests into lanes of the compiled instruction tape:
+//! each lane carries its own stimulus seed and its own cycle count, the
+//! batch steps to the longest request, and each lane's energy is read
+//! from the *optimized* tape of the instrumented design. This suite holds
+//! both halves of that shape to fresh serial `pe_sim::Simulator` runs on
+//! the seven-design benchmark suite:
 //!
-//! * wide RTL vs fresh serial RTL runs (every output, every cycle, at
-//!   every lane width);
-//! * wide gate-level and wide LUT-level vs the wide RTL engine
-//!   (cross-substrate, all lanes at once, at every width);
-//! * gate-level switching energy per lane vs serial runs (bit-exact
-//!   f64, at every width);
-//! * instrumented `read_energy_fj` per lane vs serial instrumented runs
-//!   (at every width).
+//! * wide RTL (the tape) vs fresh serial RTL runs, lanes packed as a
+//!   serve batch packs them (arbitrary seeds, ragged lengths), every
+//!   output of every running lane, every cycle, at every lane width;
+//! * instrumented `read_energy_fj` per lane on the optimized,
+//!   translation-validated tape vs serial instrumented runs (at every
+//!   width).
 //!
 //! Cycle budgets scale down with lane width so each width instantiation
 //! does comparable total work. Every assertion names the design,
@@ -22,30 +22,18 @@
 
 use pe_util::lanes::LaneWord;
 use power_emulation::designs::suite::{all_benchmarks, benchmark, Benchmark, Scale};
-use power_emulation::fpga::lut::map_to_luts;
-use power_emulation::fpga::WideLutSimulator;
-use power_emulation::gate::cells::CellLibrary;
-use power_emulation::gate::expand::expand_design;
-use power_emulation::gate::{GateSimulator, WideGateSimulator};
-use power_emulation::sim::{Simulator, WideSimulator};
+use power_emulation::sim::Simulator;
+use power_emulation::tape::{Tape, WideTapeSimulator};
 
-/// Cycles compared per design (the gate/LUT expansions of MPEG4 are the
-/// expensive ones), scaled down for the wider lane words so each width
-/// costs roughly the same wall clock.
+/// Cycles compared per design (MPEG4 is the expensive one), scaled down
+/// for the wider lane words so each width costs roughly the same wall
+/// clock.
 fn budget(name: &str, lanes: usize) -> u64 {
     let base = match name {
         "MPEG4" => 250,
         _ => 600,
     };
     base / (lanes as u64 / 64).max(1)
-}
-
-/// Spot lanes probing both ends and the middle of a word, deduplicated
-/// for narrow words.
-fn spot_lanes(lanes: usize) -> Vec<usize> {
-    let mut spots = vec![0usize, lanes / 4, lanes - 1];
-    spots.dedup();
-    spots
 }
 
 /// The design's output ports as `(name, signal)` pairs.
@@ -58,56 +46,66 @@ fn outputs(bench: &Benchmark) -> Vec<(String, power_emulation::rtl::SignalId)> {
         .collect()
 }
 
-/// Input ports as `(name, signal)` pairs.
-fn inputs(bench: &Benchmark) -> Vec<(String, power_emulation::rtl::SignalId)> {
-    bench
-        .design
-        .inputs()
-        .iter()
-        .map(|p| (p.name().to_string(), p.signal()))
-        .collect()
-}
-
 /// Every lane of the wide RTL engine reproduces a fresh serial RTL run
-/// of the same stimulus shard, output for output, cycle for cycle.
+/// of the same stimulus, output for output, cycle for cycle — with the
+/// lanes packed the way a serve batch packs them: lane `l` runs an
+/// arbitrary stimulus seed for its own cycle count, and lanes that have
+/// finished sit idle while the rest keep stepping.
 fn wide_rtl_matches_serial_rtl_at<W: LaneWord>() {
     for bench in all_benchmarks() {
-        let cycles = budget(bench.name, W::LANES).min(bench.cycles(Scale::Test));
+        let longest = budget(bench.name, W::LANES).min(bench.cycles(Scale::Test));
         let outs = outputs(&bench);
+        let tape = Tape::compile(&bench.design).expect("tape compiles");
+        let jobs: Vec<(u64, u64)> = (0..W::LANES as u64)
+            .map(|l| {
+                (
+                    l.wrapping_mul(0x9E37_79B9) ^ 0x5EED,
+                    longest - (l % 4) * longest / 8,
+                )
+            })
+            .collect();
 
-        let mut wide = WideSimulator::<W>::new(&bench.design).expect("wide sim");
+        let mut wide = WideTapeSimulator::<W>::new(&tape);
         let mut serials: Vec<Simulator<'_>> = (0..W::LANES)
             .map(|_| Simulator::new(&bench.design).expect("serial sim"))
             .collect();
-        let mut wide_tbs = bench.testbench_shards(cycles, W::LANES);
-        let mut serial_tbs = bench.testbench_shards(cycles, W::LANES);
+        let mut wide_tbs: Vec<_> = jobs
+            .iter()
+            .map(|&(seed, cycles)| bench.testbench_shard(cycles, seed))
+            .collect();
+        let mut serial_tbs: Vec<_> = jobs
+            .iter()
+            .map(|&(seed, cycles)| bench.testbench_shard(cycles, seed))
+            .collect();
 
-        for cycle in 0..cycles {
-            for lane in 0..W::LANES {
+        for cycle in 0..longest {
+            let running: Vec<usize> = (0..W::LANES).filter(|&l| cycle < jobs[l].1).collect();
+            for &lane in &running {
                 wide_tbs[lane].apply(cycle, &mut wide.lane(lane));
                 serial_tbs[lane].apply(cycle, &mut serials[lane]);
             }
-            for lane in 0..W::LANES {
+            for &lane in &running {
                 wide_tbs[lane].observe(cycle, &mut wide.lane(lane));
                 serial_tbs[lane].observe(cycle, &mut serials[lane]);
             }
             for (name, sig) in &outs {
-                for (lane, serial) in serials.iter_mut().enumerate() {
+                for &lane in &running {
                     let got = wide.value_lane(*sig, lane);
-                    let want = serial.value(*sig);
+                    let want = serials[lane].value(*sig);
                     assert_eq!(
                         got,
                         want,
-                        "{}::{name} diverged: width {}, lane {lane}, first at cycle {cycle} \
-                         (wide {got:#x}, serial {want:#x})",
+                        "{}::{name} diverged: width {}, lane {lane} (seed {:#x}), first at \
+                         cycle {cycle} (wide {got:#x}, serial {want:#x})",
                         bench.name,
-                        W::LANES
+                        W::LANES,
+                        jobs[lane].0
                     );
                 }
             }
             wide.step();
-            for s in &mut serials {
-                s.step();
+            for &lane in &running {
+                serials[lane].step();
             }
         }
     }
@@ -133,170 +131,9 @@ fn wide_rtl_matches_serial_rtl_at_256_lanes() {
     wide_rtl_matches_serial_rtl_at::<[u64; 4]>();
 }
 
-/// The wide gate-level and wide LUT-level engines agree with the wide
-/// RTL engine on every lane of the suite workloads (the synthesis path
-/// preserves behaviour lane-for-lane, not just for one stimulus).
-fn wide_gate_and_lut_match_wide_rtl_at<W: LaneWord>() {
-    let cells = CellLibrary::cmos130();
-    for bench in all_benchmarks() {
-        let cycles = budget(bench.name, W::LANES).min(bench.cycles(Scale::Test)) / 2;
-        let expanded = expand_design(&bench.design);
-        let mapped = map_to_luts(&expanded.netlist);
-        let ins = inputs(&bench);
-        let outs = outputs(&bench);
-
-        let mut rtl = WideSimulator::<W>::new(&bench.design).expect("wide rtl");
-        let mut gate = WideGateSimulator::<W>::new(&expanded, &cells);
-        let mut lut = WideLutSimulator::<W>::new(&mapped);
-        let mut tbs = bench.testbench_shards(cycles, W::LANES);
-
-        for cycle in 0..cycles {
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                tb.apply(cycle, &mut rtl.lane(lane));
-                tb.observe(cycle, &mut rtl.lane(lane));
-            }
-            // Mirror the settled RTL input lanes into the other engines.
-            for (name, sig) in &ins {
-                for lane in 0..W::LANES {
-                    let v = rtl.value_lane(*sig, lane);
-                    gate.set_input_lane(name, lane, v);
-                    lut.set_input_lane(name, lane, v);
-                }
-            }
-            for (name, sig) in &outs {
-                for lane in 0..W::LANES {
-                    let want = rtl.value_lane(*sig, lane);
-                    let got_gate = gate.output_lane(name, lane);
-                    assert_eq!(
-                        got_gate,
-                        want,
-                        "{}::{name} diverged at gate level: width {}, lane {lane}, \
-                         first at cycle {cycle}",
-                        bench.name,
-                        W::LANES
-                    );
-                    let got_lut = lut.output_lane(name, lane);
-                    assert_eq!(
-                        got_lut,
-                        want,
-                        "{}::{name} diverged at LUT level: width {}, lane {lane}, \
-                         first at cycle {cycle}",
-                        bench.name,
-                        W::LANES
-                    );
-                }
-            }
-            rtl.step();
-            gate.step();
-            lut.step();
-        }
-    }
-}
-
-#[test]
-fn wide_gate_and_wide_lut_match_wide_rtl_at_1_lane() {
-    wide_gate_and_lut_match_wide_rtl_at::<bool>();
-}
-
-#[test]
-fn wide_gate_and_wide_lut_match_wide_rtl_at_64_lanes() {
-    wide_gate_and_lut_match_wide_rtl_at::<u64>();
-}
-
-#[test]
-fn wide_gate_and_wide_lut_match_wide_rtl_at_128_lanes() {
-    wide_gate_and_lut_match_wide_rtl_at::<[u64; 2]>();
-}
-
-#[test]
-fn wide_gate_and_wide_lut_match_wide_rtl_at_256_lanes() {
-    wide_gate_and_lut_match_wide_rtl_at::<[u64; 4]>();
-}
-
-/// The wide gate engine's per-lane switching energy is bit-exactly the
-/// serial gate engine's, checked on spot lanes across three designs.
-fn wide_gate_energy_is_bit_exact_at<W: LaneWord>() {
-    let cells = CellLibrary::cmos130();
-    for name in ["Bubble_Sort", "Vld", "DCT"] {
-        let bench = benchmark(name).unwrap();
-        let cycles = 200 / (W::LANES as u64 / 64).max(1);
-        let expanded = expand_design(&bench.design);
-        let ins = inputs(&bench);
-
-        let mut wide = WideGateSimulator::<W>::new(&expanded, &cells);
-        let mut tbs = bench.testbench_shards(cycles, W::LANES);
-        // Reference inputs per lane come from serial RTL shard runs.
-        let spots = spot_lanes(W::LANES);
-        let mut serial_gates: Vec<GateSimulator<'_>> = spots
-            .iter()
-            .map(|_| GateSimulator::new(&expanded, &cells))
-            .collect();
-        let mut rtl = WideSimulator::<W>::new(&bench.design).expect("wide rtl");
-
-        for cycle in 0..cycles {
-            for (lane, tb) in tbs.iter_mut().enumerate() {
-                tb.apply(cycle, &mut rtl.lane(lane));
-                tb.observe(cycle, &mut rtl.lane(lane));
-            }
-            for (pname, sig) in &ins {
-                for lane in 0..W::LANES {
-                    let v = rtl.value_lane(*sig, lane);
-                    wide.set_input_lane(pname, lane, v);
-                }
-                for (si, &lane) in spots.iter().enumerate() {
-                    serial_gates[si]
-                        .try_set_input(pname, rtl.value_lane(*sig, lane))
-                        .unwrap();
-                }
-            }
-            rtl.step();
-            wide.step();
-            for (si, &lane) in spots.iter().enumerate() {
-                serial_gates[si].step();
-                let got = wide.last_cycle_energy_fj_lane(lane);
-                let want = serial_gates[si].last_cycle_energy_fj();
-                assert_eq!(
-                    got.to_bits(),
-                    want.to_bits(),
-                    "{name} gate energy diverged: width {}, lane {lane}, \
-                     first at cycle {cycle} (wide {got} fJ, serial {want} fJ)",
-                    W::LANES
-                );
-            }
-        }
-        for (si, &lane) in spots.iter().enumerate() {
-            assert_eq!(
-                wide.total_energy_fj_lane(lane).to_bits(),
-                serial_gates[si].total_energy_fj().to_bits(),
-                "{name} total gate energy diverged: width {}, lane {lane}",
-                W::LANES
-            );
-        }
-    }
-}
-
-#[test]
-fn wide_gate_energy_is_bit_exact_at_1_lane() {
-    wide_gate_energy_is_bit_exact_at::<bool>();
-}
-
-#[test]
-fn wide_gate_energy_is_bit_exact_at_64_lanes() {
-    wide_gate_energy_is_bit_exact_at::<u64>();
-}
-
-#[test]
-fn wide_gate_energy_is_bit_exact_at_128_lanes() {
-    wide_gate_energy_is_bit_exact_at::<[u64; 2]>();
-}
-
-#[test]
-fn wide_gate_energy_is_bit_exact_at_256_lanes() {
-    wide_gate_energy_is_bit_exact_at::<[u64; 4]>();
-}
-
 /// The instrumented design's hardware energy readout is bit-exactly
-/// equal per lane between a wide run and fresh serial runs.
+/// equal per lane between a run of its optimized, translation-validated
+/// tape — the engine `pe-serve` answers from — and fresh serial runs.
 fn instrumented_readout_matches_at<W: LaneWord>() {
     use power_emulation::core::PowerEmulationFlow;
     use power_emulation::power::CharacterizeConfig;
@@ -307,8 +144,11 @@ fn instrumented_readout_matches_at<W: LaneWord>() {
         let flow = PowerEmulationFlow::new().with_characterize(CharacterizeConfig::fast());
         flow.prepare_models(&bench.design).expect("characterize");
         let (instrumented, _) = flow.stage_instrument(&bench.design).expect("instrument");
+        let (tape, cert) =
+            Tape::compile_optimized(&instrumented.design).expect("instrumented tape compiles");
+        assert!(cert.validated, "{name}: {:?}", cert.reason);
 
-        let mut wide = WideSimulator::<W>::new(&instrumented.design).expect("wide sim");
+        let mut wide = WideTapeSimulator::<W>::new(&tape);
         let mut serials: Vec<Simulator<'_>> = (0..W::LANES)
             .map(|_| Simulator::new(&instrumented.design).expect("serial sim"))
             .collect();
@@ -334,7 +174,7 @@ fn instrumented_readout_matches_at<W: LaneWord>() {
                     got.to_bits(),
                     want.to_bits(),
                     "{name} instrumented energy diverged: width {}, lane {lane}, \
-                     first at cycle {cycle} (wide {got} fJ, serial {want} fJ)",
+                     first at cycle {cycle} (optimized tape {got} fJ, serial {want} fJ)",
                     W::LANES
                 );
             }

@@ -247,23 +247,25 @@ fn lane_pack_unpack_round_trips() {
     });
 }
 
-/// Any single lane of a `W::LANES`-wide pack behaves exactly like a
-/// fresh serial simulation fed that lane's stimulus, on randomized
+/// Any single lane of a `W::LANES`-wide tape pack behaves exactly like
+/// a fresh serial simulation fed that lane's stimulus, on randomized
 /// designs and randomized per-lane input streams.
 fn wide_lane_equals_serial_at<W: LaneWord>(cases: u64) {
-    use power_emulation::sim::{SimControl, WideSimulator};
+    use power_emulation::sim::SimControl;
+    use power_emulation::tape::{Tape, WideTapeSimulator};
 
     let name = format!("any_wide_lane_equals_a_fresh_serial_run[{}]", W::LANES);
     check(&name, cases, |rng| {
         let width = rng.range(2, 11) as u32;
         let ops = random_ops(rng);
         let design = random_design(width, &ops);
+        let tape = Tape::compile(&design).expect("random design compiles");
         let mask = pe_util::bits::mask(width);
         let cycles = rng.range(2, 13);
 
         // Drive all lanes with independent random streams, recording
         // the stimulus so any lane can be replayed serially.
-        let mut wide = WideSimulator::<W>::new(&design).unwrap();
+        let mut wide = WideTapeSimulator::<W>::new(&tape);
         let mut stim: Vec<Vec<(u64, u64)>> = Vec::new();
         let mut wide_outs: Vec<Vec<u64>> = Vec::new();
         for _ in 0..cycles {
@@ -311,15 +313,52 @@ fn any_wide_lane_equals_a_fresh_serial_run() {
     wide_lane_equals_serial_at::<[u64; 4]>(4);
 }
 
-/// The compiled instruction tape agrees with the graph engines
+/// Drives every lane of `wide` and a fresh serial graph run per lane
+/// with the same independent random `(a, b)` stream for `cycles`
+/// cycles, asserting each lane's `out` against its serial run every
+/// cycle. `what` names the wide engine in failure messages.
+fn assert_lanes_match_serial_graph<W: LaneWord>(
+    rng: &mut Xoshiro,
+    design: &Design,
+    wide: &mut power_emulation::tape::WideTapeSimulator<'_, W>,
+    mask: u64,
+    cycles: u64,
+    what: &str,
+) {
+    use power_emulation::sim::SimControl;
+
+    let mut serials: Vec<Simulator<'_>> = (0..W::LANES)
+        .map(|_| Simulator::new(design).unwrap())
+        .collect();
+    for cycle in 0..cycles {
+        for (lane, serial) in serials.iter_mut().enumerate() {
+            let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
+            serial.set_input_by_name("a", a);
+            serial.set_input_by_name("b", b);
+            wide.lane(lane).set_input_by_name("a", a);
+            wide.lane(lane).set_input_by_name("b", b);
+        }
+        for (lane, serial) in serials.iter_mut().enumerate() {
+            assert_eq!(
+                serial.output("out"),
+                wide.output_lane("out", lane),
+                "width {}: {what} lane {lane} diverged at cycle {cycle}",
+                W::LANES
+            );
+            serial.step();
+        }
+        wide.step();
+    }
+}
+
+/// The compiled instruction tape agrees with the serial graph engine
 /// cycle-for-cycle on random netlists at lane width `W::LANES` — the
-/// serial tape against the serial graph simulator, and every lane of
-/// the wide tape against the wide graph engine at the same width —
-/// including designs whose pipeline registers have no power-on value
-/// (the two-state engines read them as zero, and the tape must agree
-/// from reset onward).
+/// serial tape against one serial graph simulator, and every lane of
+/// the wide tape against a fresh serial graph run of that lane's
+/// stimulus — including designs whose pipeline registers have no
+/// power-on value (the two-state engines read them as zero, and the
+/// tape must agree from reset onward).
 fn tape_agrees_with_graph_at<W: LaneWord>(cases: u64) {
-    use power_emulation::sim::{SimControl, WideSimulator};
     use power_emulation::tape::{Tape, TapeSimulator, WideTapeSimulator};
 
     let name = format!("tape_agrees_with_graph_on_random_designs[{}]", W::LANES);
@@ -350,28 +389,10 @@ fn tape_agrees_with_graph_at<W: LaneWord>(cases: u64) {
             serial_tape.step();
         }
 
-        // Wide pair, independent per-lane streams.
-        let mut wide = WideSimulator::<W>::new(&design).unwrap();
+        // Wide tape, independent per-lane streams.
         let mut wide_tape = WideTapeSimulator::<W>::new(&tape);
-        for cycle in 0..cycles {
-            for lane in 0..W::LANES {
-                let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
-                wide.lane(lane).set_input_by_name("a", a);
-                wide.lane(lane).set_input_by_name("b", b);
-                wide_tape.lane(lane).set_input_by_name("a", a);
-                wide_tape.lane(lane).set_input_by_name("b", b);
-            }
-            for lane in 0..W::LANES {
-                assert_eq!(
-                    wide.output_lane("out", lane),
-                    wide_tape.output_lane("out", lane),
-                    "width {}: wide tape lane {lane} diverged at cycle {cycle} (uninit: {uninit})",
-                    W::LANES
-                );
-            }
-            wide.step();
-            wide_tape.step();
-        }
+        let what = format!("wide tape (uninit: {uninit})");
+        assert_lanes_match_serial_graph(rng, &design, &mut wide_tape, mask, cycles, &what);
     });
 }
 
@@ -388,11 +409,10 @@ fn tape_agrees_with_graph_on_random_designs() {
 /// (the validator never rejects a faithful pipeline output, including
 /// designs with uninitialized pipeline registers), the optimized tape
 /// never grows the program, and the optimized tape's behaviour matches
-/// the graph engines cycle-for-cycle — serially (1 lane) and on every
-/// lane of a 64-lane wide run with independent per-lane streams.
+/// the serial graph engine cycle-for-cycle — serially (1 lane) and on
+/// every lane of a 64-lane wide run with independent per-lane streams.
 #[test]
 fn optimized_tape_certifies_and_agrees_on_random_designs() {
-    use power_emulation::sim::{SimControl, WideSimulator};
     use power_emulation::tape::{Tape, TapeSimulator, WideTapeSimulator};
 
     check(
@@ -438,28 +458,10 @@ fn optimized_tape_certifies_and_agrees_on_random_designs() {
                 serial_tape.step();
             }
 
-            // Wide pair at 64 lanes, independent per-lane streams.
-            let mut wide = WideSimulator::<u64>::new(&design).unwrap();
+            // Wide tape at 64 lanes, independent per-lane streams.
             let mut wide_tape = WideTapeSimulator::<u64>::new(&tape);
-            for cycle in 0..cycles {
-                for lane in 0..64 {
-                    let (a, b) = (rng.bits(12) & mask, rng.bits(12) & mask);
-                    wide.lane(lane).set_input_by_name("a", a);
-                    wide.lane(lane).set_input_by_name("b", b);
-                    wide_tape.lane(lane).set_input_by_name("a", a);
-                    wide_tape.lane(lane).set_input_by_name("b", b);
-                }
-                for lane in 0..64 {
-                    assert_eq!(
-                        wide.output_lane("out", lane),
-                        wide_tape.output_lane("out", lane),
-                        "optimized wide tape lane {lane} diverged at cycle {cycle} \
-                     (uninit: {uninit})"
-                    );
-                }
-                wide.step();
-                wide_tape.step();
-            }
+            let what = format!("optimized wide tape (uninit: {uninit})");
+            assert_lanes_match_serial_graph(rng, &design, &mut wide_tape, mask, cycles, &what);
         },
     );
 }

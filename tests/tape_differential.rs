@@ -1,22 +1,26 @@
 //! Differential torture suite for the compiled instruction-tape engines.
 //!
-//! `pe-tape` claims bit-identical semantics with the graph engines it
-//! replaces at every lane width — the serial tape is literally the
-//! 1-lane (`bool` lane word) instantiation of the wide interpreter, and
-//! the same compiled program must run bit-identically at 64, 128, and
-//! 256 lanes. This suite enforces the claim the same way
-//! `tests/differential.rs` does for the wide graph engines:
+//! The tape is the workspace's one lane-parallel engine. It claims
+//! bit-identical semantics with the serial graph engine
+//! (`pe_sim::Simulator`, the golden reference) at every lane width — the
+//! serial tape is literally the 1-lane (`bool` lane word) instantiation
+//! of the wide interpreter, and the same compiled program must run
+//! bit-identically at 64, 128, and 256 lanes. The graph reference at
+//! width `W` is `W` fresh serial graph runs, lane `l` replaying stimulus
+//! shard `l`. This suite enforces the claim:
 //!
 //! * serial tape vs serial graph on every output, every cycle, for the
 //!   full seven-design benchmark suite;
-//! * wide tape vs wide graph on every lane of seeded per-lane stimulus
-//!   shards, at 1, 64, 128, and 256 lanes;
-//! * gate-level switching energy with tape lanes supplying the stimulus
-//!   (bit-exact f64 on spot lanes, at every width);
+//! * wide tape (plain and optimized) vs the graph reference on every
+//!   lane of seeded per-lane stimulus shards, at 1, 64, 128, and 256
+//!   lanes;
+//! * gate-level switching energy and gate/LUT outputs with tape lanes
+//!   supplying the stimulus (bit-exact f64 on spot lanes, at every
+//!   width);
 //! * instrumented `read_energy_fj` per lane through the generic readout
 //!   (wide tape vs serial graph runs, at every width);
 //! * the two-state defect designs (uninitialized registers) compile and
-//!   match the graph engines at every width;
+//!   match the graph reference at every width;
 //! * structurally broken designs are rejected at compile time with the
 //!   same diagnosed reason the lint engine reports.
 //!
@@ -30,10 +34,12 @@ use power_emulation::designs::defects::{
     defect_benchmark, structural_defect_design, DEFECT_NAMES, STRUCTURAL_DEFECT_NAMES,
 };
 use power_emulation::designs::suite::{all_benchmarks, benchmark, Benchmark, Scale};
+use power_emulation::fpga::emulate::LutSimulator;
+use power_emulation::fpga::lut::map_to_luts;
 use power_emulation::gate::cells::CellLibrary;
 use power_emulation::gate::expand::expand_design;
-use power_emulation::gate::{GateSimulator, WideGateSimulator};
-use power_emulation::sim::{Simulator, WideSimulator};
+use power_emulation::gate::GateSimulator;
+use power_emulation::sim::Simulator;
 use power_emulation::tape::{Tape, TapeSimulator, WideTapeSimulator};
 
 /// Cycles compared per design (MPEG4 is the expensive one), scaled down
@@ -75,6 +81,54 @@ fn inputs(bench: &Benchmark) -> Vec<(String, power_emulation::rtl::SignalId)> {
         .collect()
 }
 
+/// Runs `tape` at width `W` beside the graph reference — one fresh
+/// serial graph run per lane, lane `l` replaying shard `l` — and asserts
+/// every output of every lane on every cycle. `what` names the tape in
+/// failure messages.
+fn assert_tape_lanes_match_serial<W: LaneWord>(
+    bench: &Benchmark,
+    tape: &Tape,
+    cycles: u64,
+    what: &str,
+) {
+    let outs = outputs(bench);
+    let mut taped = WideTapeSimulator::<W>::new(tape);
+    let mut serials: Vec<Simulator<'_>> = (0..W::LANES)
+        .map(|_| Simulator::new(&bench.design).expect("serial sim"))
+        .collect();
+    let mut tape_tbs = bench.testbench_shards(cycles, W::LANES);
+    let mut serial_tbs = bench.testbench_shards(cycles, W::LANES);
+
+    for cycle in 0..cycles {
+        for lane in 0..W::LANES {
+            tape_tbs[lane].apply(cycle, &mut taped.lane(lane));
+            serial_tbs[lane].apply(cycle, &mut serials[lane]);
+        }
+        for lane in 0..W::LANES {
+            tape_tbs[lane].observe(cycle, &mut taped.lane(lane));
+            serial_tbs[lane].observe(cycle, &mut serials[lane]);
+        }
+        for (name, sig) in &outs {
+            for (lane, serial) in serials.iter_mut().enumerate() {
+                let got = taped.value_lane(*sig, lane);
+                let want = serial.value(*sig);
+                assert_eq!(
+                    got,
+                    want,
+                    "{}::{name} diverged on the {what}: width {}, lane {lane}, \
+                     first at cycle {cycle} (tape {got:#x}, serial {want:#x})",
+                    bench.name,
+                    W::LANES
+                );
+            }
+        }
+        taped.step();
+        for s in &mut serials {
+            s.step();
+        }
+    }
+}
+
 /// The serial tape interpreter reproduces the serial graph engine on
 /// every output, every cycle, across the whole suite.
 #[test]
@@ -110,46 +164,14 @@ fn serial_tape_matches_serial_graph_on_every_output() {
     }
 }
 
-/// Every lane of the wide tape interpreter reproduces the wide graph
-/// engine under per-lane stimulus shards, output for output, cycle for
-/// cycle — on the *same* compiled tape at each width.
+/// Every lane of the wide tape interpreter reproduces a fresh serial
+/// graph run of its stimulus shard, output for output, cycle for cycle —
+/// on the *same* compiled tape at each width.
 fn wide_tape_matches_wide_graph_at<W: LaneWord>() {
     for bench in all_benchmarks() {
         let cycles = budget(bench.name, W::LANES).min(bench.cycles(Scale::Test));
-        let outs = outputs(&bench);
         let tape = Tape::compile(&bench.design).expect("tape compiles");
-
-        let mut graph = WideSimulator::<W>::new(&bench.design).expect("wide sim");
-        let mut taped = WideTapeSimulator::<W>::new(&tape);
-        let mut graph_tbs = bench.testbench_shards(cycles, W::LANES);
-        let mut tape_tbs = bench.testbench_shards(cycles, W::LANES);
-
-        for cycle in 0..cycles {
-            for lane in 0..W::LANES {
-                graph_tbs[lane].apply(cycle, &mut graph.lane(lane));
-                tape_tbs[lane].apply(cycle, &mut taped.lane(lane));
-            }
-            for lane in 0..W::LANES {
-                graph_tbs[lane].observe(cycle, &mut graph.lane(lane));
-                tape_tbs[lane].observe(cycle, &mut taped.lane(lane));
-            }
-            for (name, sig) in &outs {
-                for lane in 0..W::LANES {
-                    let got = taped.value_lane(*sig, lane);
-                    let want = graph.value_lane(*sig, lane);
-                    assert_eq!(
-                        got,
-                        want,
-                        "{}::{name} diverged: width {}, lane {lane}, first at cycle {cycle} \
-                         (tape {got:#x}, graph {want:#x})",
-                        bench.name,
-                        W::LANES
-                    );
-                }
-            }
-            graph.step();
-            taped.step();
-        }
+        assert_tape_lanes_match_serial::<W>(&bench, &tape, cycles, "tape");
     }
 }
 
@@ -174,48 +196,84 @@ fn wide_tape_matches_wide_graph_at_256_lanes() {
 }
 
 /// Gate-level switching energy is bit-exact when the stimulus comes
-/// through tape lanes: the wide gate engine fed by the wide tape's
-/// settled input lanes matches serial gate runs fed by the same lanes.
+/// through tape lanes: on spot lanes, a serial gate engine fed by the
+/// wide tape's settled input lanes matches one fed by a fresh serial
+/// graph run of the same shard, energy for energy. The tape-fed gate-
+/// and LUT-level engines also reproduce the tape lane's outputs, so the
+/// synthesis path preserves behaviour on non-canonical shards too.
 fn gate_energy_from_tape_lanes_at<W: LaneWord>() {
     let cells = CellLibrary::cmos130();
     for name in ["Bubble_Sort", "Vld", "DCT"] {
         let bench = benchmark(name).unwrap();
         let cycles = 200 / (W::LANES as u64 / 64).max(1);
         let expanded = expand_design(&bench.design);
+        let mapped = map_to_luts(&expanded.netlist);
         let ins = inputs(&bench);
+        let outs = outputs(&bench);
         let tape = Tape::compile(&bench.design).expect("tape compiles");
 
-        let mut wide = WideGateSimulator::<W>::new(&expanded, &cells);
+        let mut rtl = WideTapeSimulator::<W>::new(&tape);
         let mut tbs = bench.testbench_shards(cycles, W::LANES);
         let spots = spot_lanes(W::LANES);
+        let mut tape_gates: Vec<GateSimulator<'_>> = spots
+            .iter()
+            .map(|_| GateSimulator::new(&expanded, &cells))
+            .collect();
+        let mut luts: Vec<LutSimulator<'_>> =
+            spots.iter().map(|_| LutSimulator::new(&mapped)).collect();
+        let mut serials: Vec<Simulator<'_>> = spots
+            .iter()
+            .map(|_| Simulator::new(&bench.design).expect("serial sim"))
+            .collect();
+        let mut serial_tbs: Vec<_> = spots
+            .iter()
+            .map(|&lane| bench.testbench_shard(cycles, lane as u64))
+            .collect();
         let mut serial_gates: Vec<GateSimulator<'_>> = spots
             .iter()
             .map(|_| GateSimulator::new(&expanded, &cells))
             .collect();
-        let mut rtl = WideTapeSimulator::<W>::new(&tape);
 
         for cycle in 0..cycles {
             for (lane, tb) in tbs.iter_mut().enumerate() {
                 tb.apply(cycle, &mut rtl.lane(lane));
                 tb.observe(cycle, &mut rtl.lane(lane));
             }
-            for (pname, sig) in &ins {
-                for lane in 0..W::LANES {
+            for (si, &lane) in spots.iter().enumerate() {
+                serial_tbs[si].apply(cycle, &mut serials[si]);
+                serial_tbs[si].observe(cycle, &mut serials[si]);
+                for (pname, sig) in &ins {
                     let v = rtl.value_lane(*sig, lane);
-                    wide.set_input_lane(pname, lane, v);
-                }
-                for (si, &lane) in spots.iter().enumerate() {
+                    tape_gates[si].try_set_input(pname, v).unwrap();
+                    luts[si].set_input(pname, v);
                     serial_gates[si]
-                        .try_set_input(pname, rtl.value_lane(*sig, lane))
+                        .try_set_input(pname, serials[si].value(*sig))
                         .unwrap();
+                }
+                for (pname, sig) in &outs {
+                    let want = rtl.value_lane(*sig, lane);
+                    assert_eq!(
+                        tape_gates[si].try_output(pname).unwrap(),
+                        want,
+                        "{name}::{pname} diverged at gate level: width {}, lane {lane}, \
+                         first at cycle {cycle}",
+                        W::LANES
+                    );
+                    assert_eq!(
+                        luts[si].output(pname),
+                        want,
+                        "{name}::{pname} diverged at LUT level: width {}, lane {lane}, \
+                         first at cycle {cycle}",
+                        W::LANES
+                    );
                 }
             }
             rtl.step();
-            wide.step();
             for (si, &lane) in spots.iter().enumerate() {
-                serial_gates[si].step();
-                let got = wide.last_cycle_energy_fj_lane(lane);
-                let want = serial_gates[si].last_cycle_energy_fj();
+                serials[si].step();
+                luts[si].step();
+                let got = tape_gates[si].step();
+                let want = serial_gates[si].step();
                 assert_eq!(
                     got.to_bits(),
                     want.to_bits(),
@@ -224,6 +282,14 @@ fn gate_energy_from_tape_lanes_at<W: LaneWord>() {
                     W::LANES
                 );
             }
+        }
+        for (si, &lane) in spots.iter().enumerate() {
+            assert_eq!(
+                tape_gates[si].total_energy_fj().to_bits(),
+                serial_gates[si].total_energy_fj().to_bits(),
+                "{name} total gate energy diverged: width {}, lane {lane}",
+                W::LANES
+            );
         }
     }
 }
@@ -355,39 +421,16 @@ fn instrumented_serial_readout_matches_on_tape() {
     }
 }
 
-/// The two-state defect designs from PR 7 (uninitialized registers,
-/// X-steered muxes) compile to tapes and match the graph engines at
-/// every lane width — the tape honors two-state power-on semantics.
+/// The two-state defect designs (uninitialized registers, X-steered
+/// muxes) compile to tapes and match the graph reference at every lane
+/// width — the tape honors two-state power-on semantics.
 fn two_state_defects_match_at<W: LaneWord>() {
     for name in DEFECT_NAMES {
         let bench = defect_benchmark(name).unwrap();
         let cycles = 100 / (W::LANES as u64 / 64).max(1);
-        let outs = outputs(&bench);
         let tape = Tape::compile(&bench.design)
             .unwrap_or_else(|e| panic!("{name} must compile under two-state semantics: {e}"));
-
-        let mut wide_graph = WideSimulator::<W>::new(&bench.design).expect("wide sim");
-        let mut wide_tape = WideTapeSimulator::<W>::new(&tape);
-        let mut graph_tbs = bench.testbench_shards(cycles, W::LANES);
-        let mut tape_tbs = bench.testbench_shards(cycles, W::LANES);
-        for cycle in 0..cycles {
-            for lane in 0..W::LANES {
-                graph_tbs[lane].apply(cycle, &mut wide_graph.lane(lane));
-                tape_tbs[lane].apply(cycle, &mut wide_tape.lane(lane));
-            }
-            for (pname, sig) in &outs {
-                for lane in 0..W::LANES {
-                    assert_eq!(
-                        wide_tape.value_lane(*sig, lane),
-                        wide_graph.value_lane(*sig, lane),
-                        "{name}::{pname} diverged: width {}, lane {lane}, first at cycle {cycle}",
-                        W::LANES
-                    );
-                }
-            }
-            wide_graph.step();
-            wide_tape.step();
-        }
+        assert_tape_lanes_match_serial::<W>(&bench, &tape, cycles, "tape");
     }
 }
 
@@ -481,14 +524,13 @@ fn structural_defects_fail_tape_compilation_with_diagnosed_reason() {
 }
 
 /// The *optimized* tape (after the verified pass pipeline) reproduces
-/// the wide graph engine on every lane of seeded per-lane stimulus
-/// shards — the translation validator's probe-based proof is backed by
-/// the same full differential matrix the unoptimized tape passes, on
-/// the same compiled-once program at each width.
+/// the graph reference on every lane of seeded per-lane stimulus shards
+/// — the translation validator's probe-based proof is backed by the same
+/// full differential matrix the unoptimized tape passes, on the same
+/// compiled-once program at each width.
 fn optimized_tape_matches_wide_graph_at<W: LaneWord>() {
     for bench in all_benchmarks() {
         let cycles = budget(bench.name, W::LANES).min(bench.cycles(Scale::Test));
-        let outs = outputs(&bench);
         let (tape, cert) = Tape::compile_optimized(&bench.design).expect("tape compiles");
         assert!(
             cert.validated,
@@ -502,38 +544,7 @@ fn optimized_tape_matches_wide_graph_at<W: LaneWord>() {
             cert.pre_instructions,
             cert.post_instructions
         );
-
-        let mut graph = WideSimulator::<W>::new(&bench.design).expect("wide sim");
-        let mut taped = WideTapeSimulator::<W>::new(&tape);
-        let mut graph_tbs = bench.testbench_shards(cycles, W::LANES);
-        let mut tape_tbs = bench.testbench_shards(cycles, W::LANES);
-
-        for cycle in 0..cycles {
-            for lane in 0..W::LANES {
-                graph_tbs[lane].apply(cycle, &mut graph.lane(lane));
-                tape_tbs[lane].apply(cycle, &mut taped.lane(lane));
-            }
-            for lane in 0..W::LANES {
-                graph_tbs[lane].observe(cycle, &mut graph.lane(lane));
-                tape_tbs[lane].observe(cycle, &mut taped.lane(lane));
-            }
-            for (name, sig) in &outs {
-                for lane in 0..W::LANES {
-                    let got = taped.value_lane(*sig, lane);
-                    let want = graph.value_lane(*sig, lane);
-                    assert_eq!(
-                        got,
-                        want,
-                        "{}::{name} diverged on the optimized tape: width {}, lane {lane}, \
-                         first at cycle {cycle} (tape {got:#x}, graph {want:#x})",
-                        bench.name,
-                        W::LANES
-                    );
-                }
-            }
-            graph.step();
-            taped.step();
-        }
+        assert_tape_lanes_match_serial::<W>(&bench, &tape, cycles, "optimized tape");
     }
 }
 
